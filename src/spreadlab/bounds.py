@@ -44,11 +44,12 @@ def integer_nth_root(x: int, n: int) -> int:
         raise ValueError("need x >= 0 and n >= 1")
     if x < 2 or n == 1:
         return x
-    r = int(round(x ** (1.0 / n)))  # seed only; corrected below
-    while r > 0 and r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
+    # Newton's integer step from 2^ceil(bits/n), at least the root,
+    # falls strictly until it stops at the floor of the root.
+    s = 1 << -(-x.bit_length() // n)
+    r = s + 1
+    while s < r:
+        r, s = s, ((n - 1) * s + x // s ** (n - 1)) // n
     return r
 
 
@@ -186,7 +187,7 @@ def multi_failure_spread(n: int, k: int, l: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _herringbone_pair(n: int, k: int):
     shape = Shape((n,) * k)
     return herringbone_min(shape), herringbone_max(shape)

@@ -67,7 +67,7 @@ def _load_arrangement(path: str) -> Arrangement:
             return Arrangement.from_json(fh.read())
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CliError(f"bad arrangement file {path}: {exc}")
 
 
@@ -80,8 +80,7 @@ def _build(args) -> str:
     if method == "herringbone":
         arr = herringbone_recursive(HerringboneSpec(shape))
         if m is not None:
-            order = [arr.cell_of(v) for v in range(m)]
-            arr = Arrangement.from_value_order(shape, order)
+            arr = Arrangement.from_value_order(shape, arr.cells[:m])
     elif method == "rowmajor":
         cells = list(shape.cells())
         arr = Arrangement.from_value_order(shape, cells[: m or len(cells)])
@@ -103,7 +102,7 @@ def _build(args) -> str:
         arr = blocked_diagonal(n, shape.k, m if m is not None else shape.cell_count)
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown method {method}")
-    return _dump_json(arr.to_json_dict())
+    return arr.to_json() + "\n"
 
 
 def _slice_doc(spec: SliceSpec) -> dict:
@@ -123,12 +122,12 @@ def _spread(args) -> str:
         }
         if report.per_slice is not None:
             doc["per_slice"] = [
-                {**_slice_doc(s), "spread": v} for s, v in sorted(report.per_slice.items())
+                {**_slice_doc(s), "spread": v} for s, v in report.per_slice.items()
             ]
         return _dump_json(doc)
     lines = [f"l={report.l} max_spread={report.max_spread} witness={report.witness}"]
     if report.per_slice is not None:
-        lines += [f"{s} {v}" for s, v in sorted(report.per_slice.items())]
+        lines += [f"{s} {v}" for s, v in report.per_slice.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -173,7 +172,7 @@ def _oracle(args) -> str:
         "witness": witness.to_json_dict(),
     }
     if args.out:
-        _write_out(_dump_json(witness.to_json_dict()), args.out)
+        _write_out(witness.to_json() + "\n", args.out)
         return f"optimal_spread={value}\n"
     return _dump_json(doc)
 

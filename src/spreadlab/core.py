@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -60,10 +62,7 @@ class Shape:
 
     @property
     def cell_count(self) -> int:
-        total = 1
-        for n in self.sizes:
-            total *= n
-        return total
+        return prod(self.sizes)
 
     @property
     def is_cubic(self) -> bool:
@@ -156,78 +155,126 @@ class SpreadReport:
     per_slice: dict[SliceSpec, int] | None = None
 
 
+def _index_array(items, upper) -> tuple[np.ndarray, int]:
+    """``items`` as an int64 array: m numbers (``upper`` an int) or m rows of
+    len(upper) numbers (``upper`` a tuple), each converted as int() does.
+    Also returns the first entry int() rejects, of the wrong length or out
+    of 0..upper-1 (m if none); entries from that one on are unspecified."""
+    rows = isinstance(upper, tuple)
+    shape = (len(items), len(upper)) if rows else (len(items),)
+    try:
+        arr = np.asarray(items)
+        clean = arr.dtype.kind in "iub" and arr.shape == shape
+    except (TypeError, ValueError, OverflowError):  # ragged rows
+        clean = False
+    n = len(items)
+    if not clean:  # floats, numeric strings, ints beyond int64, junk: entry by entry
+        arr = np.zeros(shape, dtype=np.int64)
+        for i, item in enumerate(items):
+            try:
+                entry = [int(x) for x in item] if rows else int(item)
+                if rows and len(entry) != len(upper):
+                    raise ValueError("wrong row length")
+                arr[i] = entry
+            except (TypeError, ValueError, OverflowError):
+                n = i
+                break
+    arr = arr.astype(np.int64)  # uint64 beyond int64 wraps negative: out of range
+    ok = ((arr[:n] >= 0) & (arr[:n] < upper)).all(axis=tuple(range(1, arr.ndim)))
+    return arr, n if ok.all() else int(np.argmin(ok))
+
+
+def _first_repeat(ids: np.ndarray) -> int:
+    """Index of the first entry equal to an earlier one, len(ids) if none."""
+    order = np.argsort(ids, kind="stable")  # equal ids keep input order
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    return int(repeats.min()) if repeats.size else len(ids)
+
+
 class Arrangement:
     """A partial bijection from the cells of a box onto {0, ..., m-1}.
 
-    Backed by an int64 grid (EMPTY marks unfilled cells) plus the inverse
-    list mapping each value to its cell.  Instances are treated as
-    immutable values; every operation returns a new arrangement.
+    Backed by an int64 grid (EMPTY marks unfilled cells) plus ``cells``,
+    the (m, k) int64 array whose row v is the cell holding value v.
+    ``inverse`` is the same map as a list of coordinate tuples, built on
+    first use.  Every constructor goes through one vectorized placement
+    routine.  Instances are treated as immutable values; every operation
+    returns a new arrangement.
     """
 
-    def __init__(self, shape: Shape, grid: np.ndarray, inverse: list[tuple[int, ...]]):
+    def __init__(self, shape: Shape, grid: np.ndarray, cells: np.ndarray):
         self.shape = shape
         self.grid = grid
-        self.inverse = inverse
+        self.cells = cells
         grid.setflags(write=False)
+        cells.setflags(write=False)
 
     # -- construction ------------------------------------------------
 
     @classmethod
-    def from_placement(cls, shape: Shape, placement: dict[tuple[int, ...], int]) -> "Arrangement":
+    def _place(cls, shape: Shape, cells, values=None) -> "Arrangement":
+        """Place ``values[i]`` (default i) at ``cells[i]``.
+
+        Checks every entry as the per-cell definition does, in this order
+        for each entry: cell converts and lies in the shape, value converts
+        and lies in 0..m-1, cell not taken yet, value not taken yet.  The
+        error raised is that of the first offending entry.
+        """
+        m = len(cells)
+        coords, bad = _index_array(cells, shape.sizes)
+        vals, bad_value = (np.arange(m), m) if values is None else _index_array(values, m)
+        n = min(bad, bad_value)
+        flat = np.ravel_multi_index(tuple(coords[:n].T), shape.sizes)
+        taken_cell = _first_repeat(flat)
+        taken_value = n if values is None else _first_repeat(vals[:n])
+        i = min(n, taken_cell, taken_value)
+        if i < m:
+            if i == bad:
+                check_cell(shape, cells[i])  # raises the cell's own error
+            raise ShapeMismatchError(
+                f"value {int(values[i])} outside 0..{m - 1}; placement must cover exactly 0..m-1"
+                if i == bad_value
+                else f"cell {tuple(coords[i].tolist())} assigned twice"
+                if i == taken_cell
+                else f"value {int(vals[i])} assigned twice"
+            )
         grid = np.full(shape.sizes, EMPTY, dtype=np.int64)
-        m = len(placement)
-        inverse: list[tuple[int, ...] | None] = [None] * m
-        for cell, value in placement.items():
-            cell = check_cell(shape, cell)
-            value = int(value)
-            if not 0 <= value < m:
-                raise ShapeMismatchError(
-                    f"value {value} outside 0..{m - 1}; placement must cover exactly 0..m-1"
-                )
-            if grid[cell] != EMPTY:
-                raise ShapeMismatchError(f"cell {cell} assigned twice")
-            if inverse[value] is not None:
-                raise ShapeMismatchError(f"value {value} assigned twice")
-            grid[cell] = value
-            inverse[value] = cell
-        return cls(shape, grid, inverse)  # type: ignore[arg-type]
+        grid.reshape(-1)[flat] = vals
+        coords[vals] = coords.copy()  # into value order
+        return cls(shape, grid, coords)
+
+    @classmethod
+    def from_placement(cls, shape: Shape, placement: dict[tuple[int, ...], int]) -> "Arrangement":
+        return cls._place(shape, list(placement), list(placement.values()))
 
     @classmethod
     def from_grid(cls, grid_like) -> "Arrangement":
         grid = np.asarray(grid_like, dtype=np.int64)
         shape = Shape(grid.shape)
         values = grid[grid != EMPTY]
-        m = values.size
-        if m and (sorted(values.tolist()) != list(range(m))):
+        if not np.array_equal(np.sort(values), np.arange(values.size)):
             raise ShapeMismatchError("grid values must be exactly 0..m-1")
-        inverse: list[tuple[int, ...]] = [()] * m
-        for cell in np.argwhere(grid != EMPTY):
-            c = tuple(int(x) for x in cell)
-            inverse[int(grid[c])] = c
-        return cls(shape, grid.copy(), inverse)
+        return cls._place(shape, np.argwhere(grid != EMPTY), values)
 
     @classmethod
     def from_value_order(cls, shape: Shape, cells_in_order) -> "Arrangement":
         """Place 0, 1, 2, ... at the given cells, in the given order."""
-        grid = np.full(shape.sizes, EMPTY, dtype=np.int64)
-        inverse = []
-        for value, cell in enumerate(cells_in_order):
-            cell = check_cell(shape, cell)
-            if grid[cell] != EMPTY:
-                raise ShapeMismatchError(f"cell {cell} assigned twice")
-            grid[cell] = value
-            inverse.append(cell)
-        return cls(shape, grid, inverse)
+        sized = hasattr(cells_in_order, "__len__")  # lists and (m, k) arrays as they are
+        return cls._place(shape, cells_in_order if sized else list(cells_in_order))
 
     # -- basic queries -----------------------------------------------
 
     @property
     def m(self) -> int:
-        return len(self.inverse)
+        return len(self.cells)
 
     @property
     def is_full(self) -> bool:
         return self.m == self.shape.cell_count
+
+    @cached_property
+    def inverse(self) -> list[tuple[int, ...]]:
+        return list(map(tuple, self.cells.tolist()))
 
     def value_at(self, cell: tuple[int, ...]) -> int | None:
         v = int(self.grid[check_cell(self.shape, cell)])
@@ -243,7 +290,7 @@ class Arrangement:
         grid = self.grid.copy()
         mask = grid != EMPTY
         grid[mask] = self.m - 1 - grid[mask]
-        return Arrangement(self.shape, grid, list(reversed(self.inverse)))
+        return Arrangement(self.shape, grid, self.cells[::-1].copy())
 
     def __eq__(self, other) -> bool:
         return (
@@ -261,17 +308,16 @@ class Arrangement:
     # -- serialization (the interchange format) ----------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "sizes": list(self.shape.sizes),
-            "m": self.m,
-            "cells": [
-                {"coords": list(cell), "value": value}
-                for value, cell in enumerate(self.inverse)
-            ],
-        }
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True)
+        """The interchange document, compact with sorted keys: cells in
+        value order as {"coords": [...], "value": v}, then m and sizes."""
+        entry = '{"coords":[' + ",".join(["%d"] * self.shape.k) + '],"value":%d}'
+        table = np.column_stack((self.cells, np.arange(self.m)))
+        body = ",".join([entry] * self.m) % tuple(table.ravel().tolist())
+        sizes = ",".join(map(str, self.shape.sizes))
+        return f'{{"cells":[{body}],"m":{self.m},"sizes":[{sizes}]}}'
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Arrangement":

@@ -5,7 +5,10 @@ The infinite diagonal of thickness l is the band swept along the main
 diagonal by windows of length ceil(l/2) per dimension.  Its herringbone
 arrangement starts from a seed cube and adds, per diagonal step, one
 boundary slab per dimension (largest projection first), each filled
-with the one-dimension-lower herringbone.  Away from the window's ends
+with the one-dimension-lower herringbone.  Seed cube and slabs are
+boxes (a slab has extent 1 along its dimension) whose cells the
+herringbone engine emits as arrays; the band's capacity inside a cube is
+counted from the box extents alone.  Away from the window's ends
 every line meets the band in l cells, line spreads are constant along
 the diagonal, and consecutive parallel lines shift their extremes by a
 fixed constant.
@@ -15,9 +18,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
+
+import numpy as np
 
 from .core import Arrangement, Shape, SliceSpec, slice_values
-from .herringbone import _cells_in_order
+from .herringbone import clipped_cells
 from .merge import herringbone_merge
 
 
@@ -71,54 +77,43 @@ def diagonal_max_spread(k: int, l: int) -> int:
     return (hi - 1) * diagonal_shift(k, l) + hi ** (k - 1)
 
 
-def _band_order(k: int, l: int, steps: int, clip: int | None = None) -> list[tuple[int, ...]]:
-    """Construction order of the band: seed cube then per-step slabs.
+def _band_boxes(k: int, l: int, steps: int, clip: int | None = None):
+    """The band's boxes in construction order, as (lows, sizes) pairs: the
+    seed cube, then per diagonal step one slab per dimension p (largest
+    p first), of extent 1 along p.
 
     ``clip`` restricts cells to the cube [0, clip)^k; slab boxes are
     clamped, so the clipped construction stays a herringbone of the
-    remaining region.
+    remaining region.  Steps past the cube's far face add nothing, so
+    steps = clip = n runs the band through the whole n^k cube.
     """
     lo_w = l // 2
-    hi_w = -(-l // 2)
-    seed = hi_w
-    even = l % 2 == 0
-
-    def clamp(low: int, high: int) -> tuple[int, int]:
-        if clip is not None:
-            low, high = max(low, 0), min(high, clip - 1)
-        return low, high
-
-    order: list[tuple[int, ...]] = []
-    seed_extent = seed if clip is None else min(seed, clip)
-    order.extend(_cells_in_order((seed_extent,) * k, tuple(range(k))))
-
+    seed = -(-l // 2)
+    yield (0,) * k, (seed if clip is None else min(seed, clip),) * k
     last = seed + steps - 1
     if clip is not None:
         last = min(last, clip - 1)
     for m in range(seed, last + 1):
         for p in reversed(range(k)):
-            windows = []
-            empty = False
+            box = []
             for q in range(k):
                 if q == p:
-                    continue
-                if even:
+                    low, high = m, m
+                elif l % 2 == 0:
                     low, high = (m - seed, m - 1) if q < p else (m - seed + 1, m)
                 else:
                     low, high = (m - lo_w, m) if q < p else (m - lo_w, m - 1)
-                low, high = clamp(low, high)
-                if low > high:
-                    empty = True
-                    break
-                windows.append((low, high))
-            if empty:
-                continue
-            sizes = tuple(high - low + 1 for low, high in windows)
-            for sub in _cells_in_order(sizes, tuple(range(k - 1))):
-                cell = [low + c for (low, _), c in zip(windows, sub)]
-                cell.insert(p, m)
-                order.append(tuple(cell))
-    return order
+                box.append((low, high) if clip is None else (max(low, 0), min(high, clip - 1)))
+            if all(low <= high for low, high in box):
+                yield tuple(low for low, _ in box), tuple(high - low + 1 for low, high in box)
+
+
+def _band_order(boxes) -> np.ndarray:
+    """Cells of the boxes in construction order, each box filled by the
+    herringbone engine; one memo serves every slab."""
+    memo: dict = {}
+    cells = [clipped_cells(s, sum(s), tuple(range(len(s))), memo) + lows for lows, s in boxes]
+    return np.concatenate(cells)
 
 
 def infinite_diagonal_window(spec: DiagonalSpec) -> Arrangement:
@@ -130,7 +125,7 @@ def infinite_diagonal_window(spec: DiagonalSpec) -> Arrangement:
     interior lines per dimension).
     """
     shape = Shape((spec.side,) * spec.k)
-    arr = Arrangement.from_value_order(shape, _band_order(spec.k, spec.l, spec.window))
+    arr = Arrangement.from_value_order(shape, _band_order(_band_boxes(spec.k, spec.l, spec.window)))
     for d in range(spec.k):
         if len(interior_lines(arr, spec.l, free_dim=d)) < 2 * spec.l + 1:
             raise ValueError(
@@ -171,8 +166,9 @@ def interior_lines(a: Arrangement, thickness: int, free_dim: int | None = None) 
 
 
 def band_capacity(n: int, k: int, l: int) -> int:
-    """Cells of the thickness-l band that fall inside the n^k cube."""
-    return len(_band_order(k, l, max(0, n - -(-l // 2) + 1), clip=n))
+    """Cells of the thickness-l band that fall inside the n^k cube,
+    counted from the slab extents."""
+    return sum(prod(sizes) for _, sizes in _band_boxes(k, l, n, clip=n))
 
 
 def diagonal_in_cube(n: int, k: int, m: int) -> Arrangement:
@@ -181,16 +177,13 @@ def diagonal_in_cube(n: int, k: int, m: int) -> Arrangement:
     Thickness is the smallest l whose clipped band holds at least m
     cells; l = 2n-1 covers the whole cube, so every m <= n^k is
     feasible, and m = n^k degenerates to the plain full-cube
-    herringbone.
+    herringbone.  Only the band at that thickness is built.
     """
     shape = Shape((n,) * k)
     if not 1 <= m <= shape.cell_count:
         raise ValueError(f"need 1 <= m <= {shape.cell_count}, got m={m}")
-    for l in range(1, 2 * n):
-        order = _band_order(k, l, max(0, n - -(-l // 2) + 1), clip=n)
-        if len(order) >= m:
-            return Arrangement.from_value_order(shape, order[:m])
-    raise AssertionError("thickness search failed to reach full-cube coverage")
+    order = _band_order(_band_boxes(k, chosen_thickness(n, k, m), n, clip=n))
+    return Arrangement.from_value_order(shape, order[:m])
 
 
 def chosen_thickness(n: int, k: int, m: int) -> int:
@@ -201,7 +194,7 @@ def chosen_thickness(n: int, k: int, m: int) -> int:
     raise ValueError(f"no thickness covers m={m} in a {n}^{k} cube")
 
 
-def _gap_cells(corner_end: int, corner_start: int, k: int) -> list[tuple[int, ...]]:
+def _gap_cells(corner_end: int, corner_start: int, k: int) -> np.ndarray:
     """Two thin staircases linking a block's far corner to the next
     block's origin corner: prefixes switch from start to end coordinates
     and mirrored, k-1 cells per family."""
@@ -210,7 +203,7 @@ def _gap_cells(corner_end: int, corner_start: int, k: int) -> list[tuple[int, ..
         cells.append((corner_start,) * j + (corner_end,) * (k - j))
         cells.append((corner_end,) * j + (corner_start,) * (k - j))
     uniq = sorted(set(cells), key=lambda c: (sum(c), c))
-    return uniq
+    return np.array(uniq, dtype=np.int64).reshape(-1, k)
 
 
 def blocked_diagonal(n: int, k: int, m: int) -> Arrangement:
@@ -249,27 +242,18 @@ def blocked_diagonal(n: int, k: int, m: int) -> Arrangement:
         if capacity >= m:
             break
 
-    order: list[tuple[int, ...]] = []
+    parts = []
     offset = 0
-    for i, e in enumerate(used[:-1]):
-        pattern = herringbone_merge(e, k)
-        order.extend(
-            tuple(c + offset for c in pattern.cell_of(v)) for v in range(e**k)
-        )
+    for e in used[:-1]:
+        parts.append(herringbone_merge(e, k).cells + offset)
         offset += e
-        order.extend(_gap_cells(offset - 1, offset, k))
+        parts.append(_gap_cells(offset - 1, offset, k))
     last = used[-1]
-    remainder = m - len(order)
+    remainder = m - sum(map(len, parts))
     if remainder >= last**k:
-        pattern = herringbone_merge(last, k)
-        order.extend(
-            tuple(c + offset for c in pattern.cell_of(v)) for v in range(last**k)
-        )
+        parts.append(herringbone_merge(last, k).cells + offset)
     elif remainder > 0:
         # a truncated merge scatters its tail values; the incomplete-cube
         # diagonal keeps the partial final block spread-controlled
-        tail = diagonal_in_cube(last, k, remainder)
-        order.extend(
-            tuple(c + offset for c in tail.cell_of(v)) for v in range(remainder)
-        )
-    return Arrangement.from_value_order(shape, order[:m])
+        parts.append(diagonal_in_cube(last, k, remainder).cells + offset)
+    return Arrangement.from_value_order(shape, np.concatenate(parts)[:m])

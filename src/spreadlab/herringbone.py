@@ -7,6 +7,10 @@ order), and fill that slice recursively with the (k-1)-dimensional
 herringbone.  The result is fully monotonic and, layer by layer, packs
 early values into the smallest possible subcube, which is what makes
 its per-line minima sequence extremal.
+
+One growth engine, ``clipped_cells``, emits every herringbone order in
+the package as an (N, k) cell array: whole boxes here, coordinate-sum
+bounded halves in ``merge`` and band slabs in ``diagonal``.
 """
 
 from __future__ import annotations
@@ -50,44 +54,12 @@ class HerringboneSpec:
             raise UnsupportedInputError(f"unknown orientation {self.orientation!r}")
 
 
-def _cells_in_order(sizes: tuple[int, ...], order: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Cells of the box, listed in construction (= value) order.
-
-    ``order`` ranks dimensions for tie-breaking: earlier dimensions are
-    extended first when adjacent slices tie on volume.
-    """
-    k = len(sizes)
-    if k == 0:
-        return [()]
-    if any(n == 0 for n in sizes):
-        return []
-    cells: list[tuple[int, ...]] = [(0,) * k]
-    extent = [1] * k
-    while extent != list(sizes):
-        best_dim = -1
-        best_vol = -1
-        for p in order:
-            if extent[p] >= sizes[p]:
-                continue
-            vol = prod(extent[q] for q in range(k) if q != p)
-            if vol > best_vol:
-                best_dim, best_vol = p, vol
-        p = best_dim
-        rest_dims = [q for q in range(k) if q != p]
-        rest_sizes = tuple(extent[q] for q in rest_dims)
-        rest_order = tuple(sorted(range(k - 1), key=lambda i: order.index(rest_dims[i])))
-        for sub in _cells_in_order(rest_sizes, rest_order):
-            cell = list(sub)
-            cell.insert(p, extent[p])
-            cells.append(tuple(cell))
-        extent[p] += 1
-    return cells
-
-
 def _count_sum_bounded(extents, budget: int) -> int:
     """|{x : 0 <= x_q < extents[q], sum(x) <= budget}| by a prefix-sum DP."""
     if budget < 0:
         return 0
+    if budget >= sum(e - 1 for e in extents):
+        return prod(extents)
     counts = [1] + [0] * budget
     for e in extents:
         new = [0] * (budget + 1)
@@ -102,24 +74,32 @@ def _count_sum_bounded(extents, budget: int) -> int:
 
 
 def clipped_cells(
-    sizes: tuple[int, ...], budget: int, order: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """Herringbone construction order over {x in box : sum(x) <= budget}.
+    sizes: tuple[int, ...], budget: int, order: tuple[int, ...], memo: dict | None = None
+) -> np.ndarray:
+    """The growth engine: cells of {x in box : sum(x) <= budget} as an
+    (N, k) int64 array in construction (= value) order.
 
-    Same growth rule as the unrestricted construction, but each adjacent
-    slice is clipped to the coordinate-sum budget before its volume is
-    compared, and clipped-away cells are never placed.
+    Each adjacent slab is clipped to the budget before volumes compare;
+    ties go to the dimension ranked earliest in ``order``.  A budget of
+    at least the far corner's coordinate sum gives the plain herringbone.
+    ``memo`` caches sub-box orders by (sizes, clipped budget, order): one
+    dict serves every call of one construction.
     """
     k = len(sizes)
-    if k == 0:
-        return [()] if budget >= 0 else []
-    if budget < 0 or any(s == 0 for s in sizes):
-        return []
-    cells: list[tuple[int, ...]] = [(0,) * k]
+    budget = min(budget, sum(n - 1 for n in sizes))
+    if budget < 0 or 0 in sizes:
+        return np.zeros((0, k), dtype=np.int64)
+    if k == 1:
+        return np.arange(budget + 1, dtype=np.int64)[:, None]
+    memo = {} if memo is None else memo
+    key = (tuple(sizes), budget, tuple(order))
+    if key in memo:
+        return memo[key]
+    out = np.zeros((_count_sum_bounded(sizes, budget), k), dtype=np.int64)  # row 0: the origin
+    filled = 1
     extent = [1] * k
     while extent != list(sizes):
-        best_dim = -1
-        best_vol = -1
+        best_dim, best_vol = -1, -1
         for p in order:
             if extent[p] >= sizes[p]:
                 continue
@@ -130,33 +110,29 @@ def clipped_cells(
                 best_dim, best_vol = p, vol
         p = best_dim
         rest_dims = [q for q in range(k) if q != p]
-        rest_sizes = tuple(extent[q] for q in rest_dims)
         rest_order = tuple(sorted(range(k - 1), key=lambda i: order.index(rest_dims[i])))
-        for sub in clipped_cells(rest_sizes, budget - extent[p], rest_order):
-            cell = list(sub)
-            cell.insert(p, extent[p])
-            cells.append(tuple(cell))
+        slab = clipped_cells(
+            tuple(extent[q] for q in rest_dims), budget - extent[p], rest_order, memo
+        )
+        out[filled : filled + best_vol, rest_dims] = slab
+        out[filled : filled + best_vol, p] = extent[p]
+        filled += best_vol
         extent[p] += 1
-    return cells
+    out.setflags(write=False)  # shared by every later hit on this key
+    memo[key] = out
+    return out
 
 
 def herringbone_recursive(spec: HerringboneSpec) -> Arrangement:
     """Build the full herringbone arrangement described by ``spec``."""
     shape = spec.shape
     order = spec.coordinate_order or tuple(range(shape.k))
-    if spec.orientation == MINIMA:
-        return Arrangement.from_value_order(shape, _cells_in_order(shape.sizes, order))
-    if not shape.is_cubic:
+    if spec.orientation == MAXIMA and not shape.is_cubic:
         raise UnsupportedInputError("maxima-facing herringbone is defined for cubes only")
-    base = Arrangement.from_value_order(shape, _cells_in_order(shape.sizes, order))
-    return _mirror(base)
-
-
-def _mirror(a: Arrangement) -> Arrangement:
-    """total-1 - value at the reversed, coordinate-complemented cell."""
-    k = a.shape.k
-    grid = a.m - 1 - np.flip(a.grid.transpose(tuple(reversed(range(k)))))
-    return Arrangement.from_grid(grid)
+    cells = clipped_cells(shape.sizes, sum(shape.sizes), order)
+    if spec.orientation == MAXIMA:  # the mirror image, in reverse value order
+        cells = shape.sizes[0] - 1 - cells[::-1, ::-1]
+    return Arrangement.from_value_order(shape, cells)
 
 
 def herringbone_min(shape: Shape) -> Arrangement:
@@ -164,16 +140,9 @@ def herringbone_min(shape: Shape) -> Arrangement:
     return herringbone_recursive(HerringboneSpec(shape))
 
 
-def hb_max_arrangement(spec: HerringboneSpec) -> Arrangement:
-    """Maxima-facing herringbone of a cube: the construction run with the
-    reversed coordinate order, starting from the far corner downward."""
-    return herringbone_recursive(
-        HerringboneSpec(spec.shape, spec.coordinate_order, MAXIMA)
-    )
-
-
 def herringbone_max(shape: Shape) -> Arrangement:
-    return hb_max_arrangement(HerringboneSpec(shape))
+    """Maxima-facing herringbone of a cube with the default order."""
+    return herringbone_recursive(HerringboneSpec(shape, orientation=MAXIMA))
 
 
 def hb_closed_form(cell: tuple[int, ...], shape: Shape) -> int:

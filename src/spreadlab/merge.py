@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import merge_upper_bound, multi_failure_spread
 from .core import Arrangement, Shape, max_spread
 from .herringbone import clipped_cells
@@ -48,22 +50,21 @@ def herringbone_merge(n: int, k: int) -> Arrangement:
     """The merged minima/maxima herringbone arrangement of the n^k cube."""
     layout = MergeLayout(n, k)
     shape = Shape((n,) * k)
-    total = shape.cell_count
     identity = tuple(range(k))
+    memo: dict = {}
 
-    lower = clipped_cells(shape.sizes, layout.threshold, identity)
+    lower = clipped_cells(shape.sizes, layout.threshold, identity, memo)
 
     # Far half, grown from the all-(n-1) corner with the reversed
     # coordinate order: mirror it onto a sum-bounded growth at the origin
     # (reverse the axes and complement every coordinate), build, then map
     # back and flip the order so the far corner receives the top value.
     upper_budget = k * (n - 1) - layout.threshold - 1
-    upper_mirrored = clipped_cells(shape.sizes, upper_budget, identity)
-    upper = [tuple(n - 1 - x for x in reversed(c)) for c in reversed(upper_mirrored)]
+    upper = n - 1 - clipped_cells(shape.sizes, upper_budget, identity, memo)[::-1, ::-1]
 
-    if len(lower) + len(upper) != total:
+    if len(lower) + len(upper) != shape.cell_count:
         raise AssertionError("halves do not partition the cube")
-    return Arrangement.from_value_order(shape, lower + upper)
+    return Arrangement.from_value_order(shape, np.concatenate((lower, upper)))
 
 
 def merge_spread_check(n: int, k: int) -> tuple[int, int, bool]:

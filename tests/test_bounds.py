@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadlab.bounds import (
     BoundsReport,
+    _herringbone_pair,
     bounds_report,
     corner,
     crude_smalls_bound,
@@ -149,3 +152,25 @@ def test_bounds_report_ordering_and_rows():
 def test_bounds_report_rejects_bad_ordering():
     with pytest.raises(AssertionError):
         BoundsReport(3, 2, theorem1_lb=9, exact_pairing_lb={1: 5}, merge_ub=5)
+
+
+def test_integer_nth_root_beyond_float_range():
+    # the root of a number beyond float range, as theorem1_lower_bound takes it
+    x = (120 * 1000**119 + 2) ** 120 // 240**120
+    r = integer_nth_root(x, 119)
+    assert r**119 <= x < (r + 1) ** 119
+    assert theorem1_lower_bound(1000, 120) >= 0
+
+
+@given(st.integers(min_value=0, max_value=10**400), st.integers(min_value=1, max_value=40))
+@settings(max_examples=200, deadline=None)
+def test_integer_nth_root_brackets(x, n):
+    r = integer_nth_root(x, n)
+    assert r**n <= x < (r + 1) ** n
+
+
+def test_herringbone_pair_cache_is_bounded():
+    assert _herringbone_pair.cache_info().maxsize is not None
+    for n in range(2, 12):
+        exact_pairing_lb(n, 2)
+    assert _herringbone_pair.cache_info().currsize <= _herringbone_pair.cache_info().maxsize

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from spreadlab.cli import main, parse_shape
-from spreadlab.core import Arrangement
+from spreadlab.core import Arrangement, Shape, iter_slices, slice_spread
 
 
 def run(capsys, *argv):
@@ -165,3 +165,44 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SPREADLAB_BUDGET", "100000000")
     code, _, _ = run(capsys, "oracle", "--shape", "2x2x2")
     assert code == 0
+
+
+def test_spread_per_slice_in_slice_order(tmp_path, capsys):
+    arr_file = tmp_path / "cube.json"
+    run(capsys, "build", "--shape", "3x3x3", "--method", "merge", "--out", str(arr_file))
+    arr = Arrangement.from_json(arr_file.read_text())
+    for l, count in [(1, 27), (2, 9)]:
+        slices = list(iter_slices(Shape((3, 3, 3)), l))
+        assert len(slices) == count
+        code, out, _ = run(
+            capsys, "spread", "--arrangement", str(arr_file), "--l", str(l), "--per-slice"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + count
+        assert lines[1:] == [f"{s} {slice_spread(arr, s)}" for s in slices]
+        code, out, _ = run(
+            capsys, "spread", "--arrangement", str(arr_file), "--l", str(l),
+            "--per-slice", "--format", "json",
+        )
+        assert code == 0
+        entries = json.loads(out)["per_slice"]
+        assert len(entries) == count
+        assert [(e["free_dims"], e["spread"]) for e in entries] == [
+            (list(s.free_dims), slice_spread(arr, s)) for s in slices
+        ]
+        assert [e["fixed"] for e in entries] == [
+            {str(d): c for d, c in s.fixed} for s in slices
+        ]
+
+
+def test_build_output_is_the_arrangement_json(tmp_path, capsys):
+    out_file = tmp_path / "a.json"
+    code, out, _ = run(capsys, "build", "--shape", "4x4x4", "--method", "merge")
+    assert code == 0
+    run(capsys, "build", "--shape", "4x4x4", "--method", "merge", "--out", str(out_file))
+    assert out_file.read_text() == out
+    doc = Arrangement.from_json(out).to_json_dict()
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    code, out, _ = run(capsys, "build", "--shape", "5x3", "--method", "herringbone", "--m", "7")
+    assert code == 0 and json.loads(out)["m"] == 7

@@ -208,6 +208,13 @@ def test_json_round_trip_and_format():
     assert again == HB33
 
 
+def test_value_order_takes_any_iterable():
+    shape = Shape((2, 3))
+    assert Arrangement.from_value_order(shape, shape.cells()) == Arrangement.from_value_order(
+        shape, list(shape.cells())
+    )
+
+
 def test_json_rejects_duplicates():
     doc = json.loads(HB33.to_json())
     doc["cells"][1]["coords"] = [0, 0]

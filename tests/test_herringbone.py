@@ -1,6 +1,10 @@
 import itertools
+from math import prod
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadlab.core import (
     Arrangement,
@@ -12,6 +16,7 @@ from spreadlab.core import (
 )
 from spreadlab.herringbone import (
     HerringboneSpec,
+    _count_sum_bounded,
     clipped_cells,
     hb_closed_form,
     hb_min_central_line,
@@ -182,12 +187,85 @@ def test_clipped_cells_budget():
     # budget covering everything reproduces the plain construction
     shape = Shape((3, 3))
     full = [herringbone_min(shape).cell_of(v) for v in range(9)]
-    assert clipped_cells((3, 3), 4, (0, 1)) == full
+    assert list(map(tuple, clipped_cells((3, 3), 4, (0, 1)).tolist())) == full
     # tight budget keeps only the admissible region, still starting at 0
-    half = clipped_cells((3, 3), 2, (0, 1))
+    half = list(map(tuple, clipped_cells((3, 3), 2, (0, 1)).tolist()))
     assert set(half) == {c for c in shape.cells() if sum(c) <= 2}
+    assert len(half) == len(set(half))
     assert half[0] == (0, 0)
 
 
 def test_spread_reference_values():
     assert max_spread(herringbone_min(Shape((3, 3))), 1).max_spread == 6
+
+
+def _reference_count(extents, budget):
+    if budget < 0:
+        return 0
+    counts = [1] + [0] * budget
+    for e in extents:
+        new = [0] * (budget + 1)
+        run = 0
+        for s in range(budget + 1):
+            run += counts[s]
+            if s - e >= 0:
+                run -= counts[s - e]
+            new[s] = run
+        counts = new
+    return sum(counts)
+
+
+def _reference_cells(sizes, budget, order):
+    """The per-cell definition of the growth engine: a list of tuples."""
+    k = len(sizes)
+    if k == 0:
+        return [()] if budget >= 0 else []
+    if budget < 0 or any(s == 0 for s in sizes):
+        return []
+    cells = [(0,) * k]
+    extent = [1] * k
+    while extent != list(sizes):
+        best_dim = -1
+        best_vol = -1
+        for p in order:
+            if extent[p] >= sizes[p]:
+                continue
+            vol = _reference_count([extent[q] for q in range(k) if q != p], budget - extent[p])
+            if vol > best_vol:
+                best_dim, best_vol = p, vol
+        p = best_dim
+        rest_dims = [q for q in range(k) if q != p]
+        rest_sizes = tuple(extent[q] for q in rest_dims)
+        rest_order = tuple(sorted(range(k - 1), key=lambda i: order.index(rest_dims[i])))
+        for sub in _reference_cells(rest_sizes, budget - extent[p], rest_order):
+            cell = list(sub)
+            cell.insert(p, extent[p])
+            cells.append(tuple(cell))
+        extent[p] += 1
+    return cells
+
+
+@st.composite
+def boxes_and_orders(draw):
+    sizes = tuple(draw(st.lists(st.integers(0, 5), min_size=1, max_size=4)))
+    order = tuple(draw(st.permutations(range(len(sizes)))))
+    return sizes, order
+
+
+@given(boxes_and_orders())
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_per_cell_definition_at_every_budget(box):
+    sizes, order = box
+    memo = {}
+    for budget in range(-1, sum(sizes) + 2):
+        got = clipped_cells(sizes, budget, order, memo)
+        assert got.dtype == np.int64 and got.shape == (len(got), len(sizes))
+        assert list(map(tuple, got.tolist())) == _reference_cells(sizes, budget, order)
+
+
+def test_unclipped_count_is_the_box_volume():
+    for extents in [(3,), (4, 2), (5, 1, 3), (2, 2, 2, 2)]:
+        top = sum(e - 1 for e in extents)
+        assert _count_sum_bounded(extents, top) == prod(extents)
+        for budget in range(-1, top + 3):
+            assert _count_sum_bounded(extents, budget) == _reference_count(extents, budget)
