@@ -20,6 +20,7 @@ from .diagonal import blocked_diagonal, diagonal_in_cube
 from .herringbone import HerringboneSpec, herringbone_recursive
 from .merge import herringbone_merge
 from .oracle import FULL, MONOTONE, BudgetExceededError, SearchConfig, brute_force_optimal
+from .oracle import default_budget
 from .quantizer_sim import ChannelSystem, simulate
 
 RENDER_CAP = 40
@@ -45,6 +46,13 @@ def _require_cubic(shape: Shape, method: str) -> int:
     if not shape.is_cubic:
         raise CliError(f"method {method} needs a cubic shape, got {shape}")
     return shape.sizes[0]
+
+
+def _require_budget(count: int, what: str) -> None:
+    """Refuse work that allocates `count` items before allocating any."""
+    budget = default_budget()
+    if count > budget:
+        raise BudgetExceededError(f"{count} {what} exceed budget {budget}", estimate=count)
 
 
 def _dump_json(doc: dict) -> str:
@@ -73,6 +81,7 @@ def _load_arrangement(path: str) -> Arrangement:
 
 def _build(args) -> str:
     shape = parse_shape(args.shape)
+    _require_budget(shape.cell_count, "cells")
     method = args.method
     m = args.m
     if m is not None and not 1 <= m <= shape.cell_count:
@@ -133,6 +142,7 @@ def _spread(args) -> str:
 
 def _bounds(args) -> str:
     shape = parse_shape(args.shape)
+    _require_budget(shape.cell_count, "cells")
     n = _require_cubic(shape, "bounds")
     k = shape.k
     ls = tuple(range(1, (args.l_max or 1) + 1))
@@ -178,6 +188,7 @@ def _oracle(args) -> str:
 
 
 def _simulate(args) -> str:
+    _require_budget(args.trials, "trials")
     arr = _load_arrangement(args.arrangement)
     report = simulate(
         ChannelSystem(arr),

@@ -8,17 +8,29 @@ line spread).  Monotone arrangements are enumerated as standard
 fillings: values placed in increasing order, each at a cell whose
 lower neighbors are all filled, which is exponentially sparser than m!.
 
-Search is depth-first with branch-and-bound: the running worst spread
-only grows as values are placed in increasing order, so a partial
-assignment already at the incumbent can be cut.  Budgets are node-count
-ceilings; exceeding one raises instead of silently truncating.
+Search is one depth-first branch-and-bound pass that tries cells in
+ascending index order, so leaves come in lexicographic order.  A branch
+is cut once a lower bound on its worst spread reaches the incumbent:
+the spread already realized and, in a full box, the completion bound (a
+slice with r cells still empty after value v ends at v + r or later)
+on the slices of each placed cell and on the oldest open slice.  Along
+the path to the lexicographically least optimal leaf these bounds stay
+within the optimum, and every leaf before it is worse, so the first
+optimal leaf recorded is that witness; no second pass is needed.
+Budgets are node-count ceilings over this single pass; exceeding one
+raises instead of silently truncating.  ``verify_smalls_dominance``
+compares permutations in fixed-size numpy blocks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
+from bisect import insort
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import Arrangement, Shape, UnsupportedInputError, smalls_sequence
 from .herringbone import herringbone_min
@@ -28,6 +40,8 @@ BUDGET_ENV = "SPREADLAB_BUDGET"
 
 FULL = "full"
 MONOTONE = "monotone"
+
+_BLOCK = 1024  # permutations per numpy block in verify_smalls_dominance
 
 
 class BudgetExceededError(RuntimeError):
@@ -75,23 +89,18 @@ class SearchConfig:
 
 
 def _slices_by_cell(shape: Shape, l: int):
-    """(number of slices, per-cell list of slice ids) for the l-objective."""
-    sizes = shape.sizes
-    k = shape.k
-    slice_ids: list[list[int]] = [[] for _ in range(shape.cell_count)]
-    next_id = 0
-    for free in itertools.combinations(range(k), l):
-        fixed_dims = [d for d in range(k) if d not in free]
-        base: dict[tuple[int, ...], int] = {}
-        for idx, cell in enumerate(shape.cells()):
-            key = tuple(cell[d] for d in fixed_dims)
-            sid = base.get(key)
-            if sid is None:
-                sid = next_id
-                base[key] = sid
-                next_id += 1
-            slice_ids[idx].append(sid)
-    return next_id, slice_ids
+    """(cell count of each slice, per-cell list of slice ids) for the l-objective."""
+    coords = np.indices(shape.sizes).reshape(shape.k, -1)
+    columns, slice_sizes = [], []
+    for free in itertools.combinations(range(shape.k), l):
+        ids = np.zeros(shape.cell_count, dtype=np.int64)
+        for d in range(shape.k):
+            if d not in free:
+                ids = ids * shape.sizes[d] + coords[d]
+        columns.append(len(slice_sizes) + ids)
+        size = math.prod(shape.sizes[d] for d in free)
+        slice_sizes += [size] * (shape.cell_count // size)
+    return slice_sizes, np.stack(columns, axis=1).tolist()
 
 
 def _estimate_full(count: int, m: int) -> int:
@@ -114,141 +123,119 @@ def brute_force_optimal(cfg: SearchConfig) -> tuple[int, Arrangement]:
     count = shape.cell_count
     m = cfg.values
     budget = cfg.node_budget
+    monotone = cfg.mode == MONOTONE
 
-    if cfg.mode == FULL:
-        estimate = _estimate_full(count, m)
-        if estimate > budget:
-            raise BudgetExceededError(
-                f"full enumeration needs about {estimate} nodes, budget {budget}",
-                estimate=estimate,
-            )
+    # A monotone search places all `count` values before its first leaf.
+    estimate = count if monotone else _estimate_full(count, m)
+    if estimate > budget:
+        needs = "monotone search needs at least" if monotone else "full enumeration needs about"
+        raise BudgetExceededError(f"{needs} {estimate} nodes, budget {budget}", estimate=estimate)
 
-    n_slices, slice_ids = _slices_by_cell(shape, cfg.l)
+    slice_sizes, slice_ids = _slices_by_cell(shape, cfg.l)
     cells = list(shape.cells())
-    lower_neighbors: list[list[int]] = []
-    index_of = {cell: i for i, cell in enumerate(cells)}
-    for cell in cells:
-        nbrs = []
-        for d in range(shape.k):
-            if cell[d] > 0:
-                prev = list(cell)
-                prev[d] -= 1
-                nbrs.append(index_of[tuple(prev)])
-        lower_neighbors.append(nbrs)
+    # Monotone mode frees a cell once its last lower neighbour is filled;
+    # full mode has no such order, so every cell starts ready.
+    upper: list[list[int]] = [[] for _ in range(count)]
+    pending = [0] * count
+    if monotone:
+        stride = 1
+        for d in reversed(range(shape.k)):
+            for idx, cell in enumerate(cells):
+                if cell[d] > 0:
+                    upper[idx - stride].append(idx)
+                    pending[idx] += 1
+            stride *= shape.sizes[d]
+    ready = [i for i in range(count) if pending[i] == 0]
+
+    # In a full box a slice has pad[sid] other empty cells when a value goes
+    # into it; they all take later values, so its spread reaches at least
+    # value - slice_min + pad[sid].  A partial box may leave cells empty.
+    complete = 1 if m == count else 0
+    pad = [(size - 1) * complete for size in slice_sizes]
 
     seed = cfg.prune_bound
     best_value = seed + 1 if seed is not None else m  # spread < m always
     best_order: list[int] | None = None
-    slice_min = [-1] * n_slices
-    filled = [False] * count
+    slice_min = [-1] * len(slice_sizes)
     placed_at: list[int] = []
     nodes = 0
-    monotone = cfg.mode == MONOTONE
 
-    def candidates() -> list[int]:
-        if not monotone:
-            return [i for i in range(count) if not filled[i]]
-        return [
-            i
-            for i in range(count)
-            if not filled[i] and all(filled[j] for j in lower_neighbors[i])
-        ]
-
-    def dfs(value: int, worst: int):
+    def dfs(value: int, reach: int, oldest: int):
+        # `reach` bounds the worst spread of every completion from below
+        # and equals the realized worst spread at a leaf.
         nonlocal best_value, best_order, nodes
         if value == m:
-            if worst < best_value:
-                best_value = worst
-                best_order = placed_at.copy()
+            best_value = reach
+            best_order = placed_at.copy()
             return
-        for idx in candidates():
-            new_worst = worst
-            for sid in slice_ids[idx]:
-                if slice_min[sid] >= 0:
-                    spread = value - slice_min[sid]
-                    if spread > new_worst:
-                        new_worst = spread
-            if new_worst >= best_value:
+        if complete:
+            # Skip placed cells whose slices are all full.  The first one
+            # left has an open slice: its minimum is at most `oldest` and
+            # it still takes a value >= `value`.
+            while oldest < value:
+                for sid in slice_ids[placed_at[oldest]]:
+                    if pad[sid] >= 0:
+                        break
+                else:
+                    oldest += 1
+                    continue
+                break
+            if oldest < value and value - oldest >= best_value:
+                return
+        for j, idx in enumerate(ready):
+            ids = slice_ids[idx]
+            new_reach = reach
+            for sid in ids:
+                low = slice_min[sid]
+                bound = pad[sid] if low < 0 else value - low + pad[sid]
+                if bound > new_reach:
+                    new_reach = bound
+            if new_reach >= best_value:
                 continue
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(
                     f"node budget {budget} exhausted after {nodes} placements"
                 )
-            touched = []
-            for sid in slice_ids[idx]:
+            for sid in ids:
                 if slice_min[sid] < 0:
                     slice_min[sid] = value
-                    touched.append(sid)
-            filled[idx] = True
+                pad[sid] -= complete
+            del ready[j]
+            ups = upper[idx]
+            for up in ups:
+                pending[up] -= 1
+                if pending[up] == 0:
+                    insort(ready, up)
             placed_at.append(idx)
-            dfs(value + 1, new_worst)
+            dfs(value + 1, new_reach, oldest)
             placed_at.pop()
-            filled[idx] = False
-            for sid in touched:
-                slice_min[sid] = -1
+            for up in ups:
+                if pending[up] == 0:
+                    ready.remove(up)
+                pending[up] += 1
+            ready.insert(j, idx)
+            for sid in ids:
+                if slice_min[sid] == value:
+                    slice_min[sid] = -1
+                pad[sid] += complete
 
-    dfs(0, 0)
+    dfs(0, 0, 0)
     if best_order is None:
         raise ValueError(
             "no admissible arrangement beats the prune bound "
             f"{cfg.prune_bound}; raise it or drop it"
         )
-    optimum = best_value
-
-    # Second pass: accept ties, first hit is the lexicographically least
-    # optimal arrangement under the ascending-value search order.
-    best_value = optimum + 1
-    best_order = None
-    found: list[int] | None = None
-
-    def dfs_canonical(value: int, worst: int) -> bool:
-        nonlocal nodes, found
-        if value == m:
-            found = placed_at.copy()
-            return True
-        for idx in candidates():
-            new_worst = worst
-            for sid in slice_ids[idx]:
-                if slice_min[sid] >= 0:
-                    spread = value - slice_min[sid]
-                    if spread > new_worst:
-                        new_worst = spread
-            if new_worst > optimum:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"node budget {budget} exhausted after {nodes} placements"
-                )
-            touched = []
-            for sid in slice_ids[idx]:
-                if slice_min[sid] < 0:
-                    slice_min[sid] = value
-                    touched.append(sid)
-            filled[idx] = True
-            placed_at.append(idx)
-            done = dfs_canonical(value + 1, new_worst)
-            placed_at.pop()
-            filled[idx] = False
-            for sid in touched:
-                slice_min[sid] = -1
-            if done:
-                return True
-        return False
-
-    dfs_canonical(0, 0)
-    assert found is not None
-    witness = Arrangement.from_value_order(shape, [cells[i] for i in found])
-    return optimum, witness
+    witness = Arrangement.from_value_order(shape, [cells[i] for i in best_order])
+    return best_value, witness
 
 
 def verify_smalls_dominance(n: int, k: int, l: int = 1, budget: int | None = None) -> bool:
     """Check the herringbone's smalls list dominates every arrangement's.
 
-    Enumerates all (n^k)! full arrangements and compares the ascending
-    per-slice-minimum lists elementwise.  Small instances only; guarded
-    by the node budget.
+    Enumerates all (n^k)! full arrangements in blocks of _BLOCK rows and
+    compares the ascending per-slice-minimum lists elementwise.  Small
+    instances only; guarded by the node budget.
     """
     shape = Shape((n,) * k)
     count = shape.cell_count
@@ -260,17 +247,18 @@ def verify_smalls_dominance(n: int, k: int, l: int = 1, budget: int | None = Non
             estimate=estimate,
         )
 
-    reference = smalls_sequence(herringbone_min(shape), l)
+    reference = np.array(smalls_sequence(herringbone_min(shape), l))
     _, slice_ids = _slices_by_cell(shape, l)
-    n_slices = max(max(ids) for ids in slice_ids) + 1
-    members: list[list[int]] = [[] for _ in range(n_slices)]
-    for idx, ids in enumerate(slice_ids):
-        for sid in ids:
-            members[sid].append(idx)
+    # (cell, slice) pairs grouped by slice; every l-slice of a cube has n^l cells.
+    members = np.argsort(np.ravel(slice_ids), kind="stable").reshape(-1, n**l) // len(slice_ids[0])
 
-    for perm in itertools.permutations(range(count)):
-        mins = sorted(min(perm[i] for i in cells) for cells in members)
-        for ref_j, got_j in zip(reference, mins):
-            if ref_j < got_j:
-                return False
-    return True
+    # Row p of a block is a permutation: the value at each cell index.
+    dtype = np.min_scalar_type(count - 1)
+    perms = itertools.permutations(range(count))
+    while True:
+        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(perms, _BLOCK)), dtype)
+        if not block.size:
+            return True
+        mins = np.sort(block.reshape(-1, count)[:, members].min(axis=2), axis=1)
+        if (reference < mins).any():
+            return False

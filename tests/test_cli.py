@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadlab.cli import main, parse_shape
 from spreadlab.core import Arrangement, Shape, iter_slices, slice_spread
@@ -206,3 +212,63 @@ def test_build_output_is_the_arrangement_json(tmp_path, capsys):
     assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     code, out, _ = run(capsys, "build", "--shape", "5x3", "--method", "herringbone", "--m", "7")
     assert code == 0 and json.loads(out)["m"] == 7
+
+
+def _run_small_budget(argv):
+    """(exit code, stderr, peak traced bytes) of main under a 1000 budget."""
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setenv("SPREADLAB_BUDGET", "1000")
+        with contextlib.redirect_stdout(io.StringIO()):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    return code, err.getvalue(), peak
+
+
+huge_shapes = st.lists(st.integers(1, 10**12), min_size=1, max_size=5).filter(
+    lambda sizes: math.prod(sizes) > 1000
+)
+
+
+@given(
+    huge_shapes,
+    st.sampled_from(["herringbone", "merge", "diagonal", "blocked", "rowmajor", "replicate"]),
+    st.one_of(st.none(), st.integers(-5, 10**6)),
+)
+@settings(max_examples=60, deadline=None)
+def test_huge_shapes_refused_before_allocating(sizes, method, m):
+    shape = "x".join(map(str, sizes))
+    argvs = [
+        ["build", "--shape", shape, "--method", method] + ([] if m is None else ["--m", str(m)]),
+        ["bounds", "--shape", shape],
+        ["oracle", "--shape", shape, "--mode", "monotone"],
+        ["oracle", "--shape", shape],
+    ]
+    for argv in argvs:
+        code, err, peak = _run_small_budget(argv)
+        assert code in (2, 3), argv
+        assert err.startswith("spreadlab: error:") and err.count("\n") == 1
+        assert peak < 1 << 20, (argv, peak)
+
+
+@given(st.integers(1001, 10**18))
+@settings(max_examples=30, deadline=None)
+def test_huge_trial_counts_refused_before_allocating(trials):
+    argv = ["simulate", "--arrangement", "unused.json", "--trials", str(trials)]
+    code, err, peak = _run_small_budget(argv)
+    assert code == 3 and err.startswith("spreadlab: error: budget refusal:")
+    assert peak < 1 << 20
+
+
+def test_rowmajor_build_beyond_the_budget_exits_3(capsys, monkeypatch):
+    monkeypatch.delenv("SPREADLAB_BUDGET", raising=False)
+    code, _, err = run(capsys, "build", "--shape", "100000x100000", "--method", "rowmajor")
+    assert code == 3
+    assert err == "spreadlab: error: budget refusal: 10000000000 cells exceed budget 100000000\n"
+    monkeypatch.setenv("SPREADLAB_BUDGET", "9")
+    assert run(capsys, "build", "--shape", "3x3", "--method", "rowmajor")[0] == 0
+    assert run(capsys, "build", "--shape", "2x5", "--method", "rowmajor")[0] == 3
