@@ -190,6 +190,8 @@ def _oracle(args) -> str:
 def _simulate(args) -> str:
     _require_budget(args.trials, "trials")
     arr = _load_arrangement(args.arrangement)
+    # one slice reduction (and one decoder table) per failure pattern
+    _require_budget((2**arr.shape.k - 2) * arr.shape.cell_count, "failure-pattern cells")
     report = simulate(
         ChannelSystem(arr),
         p=args.p,
@@ -248,8 +250,14 @@ def _oracle_cell(n: int, k: int, budget: int | None) -> str:
 
 
 def _table(args) -> str:
+    budget = default_budget()
+    # the largest row builds n_max^k_max cells; with n_max >= 2 a power past
+    # budget.bit_length() already exceeds the budget, so none larger is computed
+    reach = min(args.k_max, budget.bit_length() + 1)
+    if args.n_max >= 2 and args.k_max >= 2 and args.n_max**reach > budget:
+        raise BudgetExceededError(f"rows up to {args.n_max}^{args.k_max} cells exceed budget {budget}")
     lines = ["n,k,l,theorem1_lb,exact_pairing_lb,merge_ub" + (",oracle_opt" if args.oracle else "")]
-    for k in range(2, args.k_max + 1):
+    for k in range(2, args.k_max + 1) if args.n_max >= 2 else ():  # no rows: skip the k loop
         for n in range(2, args.n_max + 1):
             row = [
                 n,

@@ -365,16 +365,16 @@ def slice_spread(a: Arrangement, s: SliceSpec) -> int | None:
     return int(vals.max() - vals.min())
 
 
-def _minmax_over_free(a: Arrangement, free: tuple[int, ...]):
-    """Per-slice (count, min, max) arrays over all fixed coords for one
-    free-dim choice.  Arrays are indexed by the fixed coordinates in
-    dimension order."""
+def slice_extrema(grid: np.ndarray, free) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slice (mins, maxes) of the placed values in the slices whose
+    free dims are ``free``, indexed by the fixed coordinates in dimension
+    order.  An empty slice reads EMPTY in both: viewed as uint64, EMPTY
+    is the largest number, so the min skips empty cells."""
     axes = tuple(free)
-    counts = (a.grid != EMPTY).sum(axis=axes)
-    maxes = a.grid.max(axis=axes)
-    sentinel = np.where(a.grid == EMPTY, np.iinfo(np.int64).max, a.grid)
-    mins = sentinel.min(axis=axes)
-    return counts, mins, maxes
+    if not axes:  # one-cell slices: the grid is its own table, no copy needed
+        return grid, grid
+    mins = np.asarray(grid.view(np.uint64).min(axis=axes)).view(np.int64)
+    return mins, np.asarray(grid.max(axis=axes))
 
 
 def max_spread(a: Arrangement, l: int, per_slice: bool = False) -> SpreadReport:
@@ -393,46 +393,32 @@ def max_spread(a: Arrangement, l: int, per_slice: bool = False) -> SpreadReport:
     detail: dict[SliceSpec, int] | None = {} if per_slice else None
     for free in itertools.combinations(range(a.shape.k), l):
         fixed_dims = [d for d in range(a.shape.k) if d not in free]
-        counts, mins, maxes = _minmax_over_free(a, free)
-        spreads = maxes - mins
-        flat_counts = np.asarray(counts).reshape(-1)
-        flat_spreads = np.asarray(spreads).reshape(-1)
-        if detail is not None or flat_counts.min() == 0:
-            shape_fixed = [a.shape.sizes[d] for d in fixed_dims]
-            for i, coords in enumerate(itertools.product(*(range(n) for n in shape_fixed))):
-                if flat_counts[i] == 0:
-                    continue
-                sp = int(flat_spreads[i])
-                if detail is not None:
+        mins, maxes = slice_extrema(a.grid, free)
+        spreads = np.where(maxes == EMPTY, -1, maxes - mins)  # empty slices never win
+        idx = int(np.argmax(spreads))  # the first maximum, in fixed-coordinate order
+        if spreads.flat[idx] > best:
+            best = int(spreads.flat[idx])
+            coords = np.unravel_index(idx, spreads.shape)
+            witness = SliceSpec(free, tuple(zip(fixed_dims, map(int, coords))))
+        if detail is not None:
+            fixed = itertools.product(*(range(a.shape.sizes[d]) for d in fixed_dims))
+            for coords, sp in zip(fixed, spreads.reshape(-1).tolist()):
+                if sp >= 0:
                     detail[SliceSpec(free, tuple(zip(fixed_dims, coords)))] = sp
-                if sp > best:
-                    best = sp
-                    witness = SliceSpec(free, tuple(zip(fixed_dims, coords)))
-        else:
-            idx = int(np.argmax(flat_spreads))
-            sp = int(flat_spreads[idx])
-            if sp > best:
-                best = sp
-                coords = np.unravel_index(idx, spreads.shape) if spreads.ndim else ()
-                witness = SliceSpec(
-                    free, tuple(zip(fixed_dims, (int(c) for c in coords)))
-                )
     if witness is None:
         raise UnsupportedInputError("no nonempty slice found")
     return SpreadReport(l=l, max_spread=best, witness=witness, per_slice=detail)
 
 
-def _extrema_list(a: Arrangement, l: int, which: str) -> list[int]:
+def _extrema_list(a: Arrangement, l: int, which: int) -> list[int]:
+    """Sorted mins (which=0) or maxes (which=1) of the nonempty l-slices."""
     if a.m == 0:
         raise UnsupportedInputError("sequence of an empty arrangement")
-    out: list[int] = []
+    parts = []
     for free in itertools.combinations(range(a.shape.k), l):
-        counts, mins, maxes = _minmax_over_free(a, free)
-        sel = counts.reshape(-1) > 0
-        src = (mins if which == "min" else maxes).reshape(-1)[sel]
-        out.extend(int(v) for v in src)
-    out.sort()
-    return out
+        values = slice_extrema(a.grid, free)[which]
+        parts.append(values[values != EMPTY])
+    return np.sort(np.concatenate(parts)).tolist()
 
 
 def smalls_sequence(a: Arrangement, l: int = 1) -> list[int]:
@@ -442,14 +428,14 @@ def smalls_sequence(a: Arrangement, l: int = 1) -> list[int]:
     """
     if not 1 <= l <= a.shape.k:
         raise ShapeMismatchError(f"l={l} out of range 1..{a.shape.k}")
-    return _extrema_list(a, l, "min")
+    return _extrema_list(a, l, 0)
 
 
 def bigs_sequence(a: Arrangement, l: int = 1) -> list[int]:
     """Ascending list of per-slice maxima; mirror of smalls_sequence."""
     if not 1 <= l <= a.shape.k:
         raise ShapeMismatchError(f"l={l} out of range 1..{a.shape.k}")
-    return _extrema_list(a, l, "max")
+    return _extrema_list(a, l, 1)
 
 
 def pairing_bound(smalls, bigs) -> int:

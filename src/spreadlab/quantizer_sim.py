@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EMPTY, Arrangement, ShapeMismatchError, SliceSpec, slice_values
+from .core import EMPTY, Arrangement, ShapeMismatchError, slice_extrema
 
 
 class DecodeFailureError(ValueError):
@@ -53,9 +53,13 @@ class FailurePattern:
 
 @dataclass(frozen=True)
 class ChannelSystem:
-    """k channels carrying the coordinates of an arrangement's cells."""
+    """k channels carrying the coordinates of an arrangement's cells.
+
+    Holds one side-decoder table per failure pattern, built on first use.
+    """
 
     arrangement: Arrangement
+    _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -68,6 +72,18 @@ class ChannelSystem:
     @property
     def rates(self) -> tuple[float, ...]:
         return tuple(math.log2(n) for n in self.arrangement.shape.sizes)
+
+    def intervals(self, mask: int) -> tuple[np.ndarray, np.ndarray]:
+        """(mins, maxes) of the values each slice holds when the channels
+        in ``mask`` fail, indexed by the surviving coordinates; an empty
+        slice reads EMPTY in both.  Two threads may both build a table;
+        the results are equal, so either one may stay."""
+        if mask not in self._tables:
+            tables = slice_extrema(self.arrangement.grid, FailurePattern(mask, self.k).failed_dims)
+            for table in tables:
+                table.setflags(write=False)
+            self._tables[mask] = tables
+        return self._tables[mask]
 
 
 @dataclass(frozen=True)
@@ -106,8 +122,9 @@ def decode(
 
     ``received`` has one entry per channel, None at failed positions.
     The interval is the min and max placed value consistent with the
-    surviving coordinates; the estimate is the interval midpoint,
-    rounded down.  With no failures the interval is the exact value.
+    surviving coordinates, looked up in the system's table for the
+    pattern; the estimate is the interval midpoint, rounded down.  With
+    no failures the interval is the exact value.
     """
     if len(received) != sys.k:
         raise ShapeMismatchError(f"expected {sys.k} components, got {len(received)}")
@@ -123,27 +140,26 @@ def decode(
         if value is None:
             raise DecodeFailureError(f"no value at cell {tuple(received)}")
         return (value, value), value
-    spec = SliceSpec(
-        pattern.failed_dims,
-        tuple((j, received[j]) for j in pattern.ok_dims),
-    )
-    vals = slice_values(sys.arrangement, spec)
-    if vals.size == 0:
+    if pattern.k != sys.k:
+        fixed = tuple((j, received[j]) for j in pattern.ok_dims if j < sys.k)
+        raise ShapeMismatchError(
+            f"slice dims {pattern.failed_dims}+{fixed} do not partition 0..{sys.k - 1}"
+        )
+    sizes = sys.arrangement.shape.sizes
+    key = []
+    for d, c in enumerate(received):
+        if c is not None:
+            c = int(c)  # as check_cell converts: a bool is a number, not an index mask
+            if not 0 <= c < sizes[d]:
+                raise ShapeMismatchError(f"fixed coordinate {c} out of range in dimension {d}")
+            key.append(c)
+    key = tuple(key)
+    mins, maxes = sys.intervals(pattern.mask)
+    hi = int(maxes[key])
+    if hi == EMPTY:
         raise DecodeFailureError(f"no value consistent with {tuple(received)}")
-    lo, hi = int(vals.min()), int(vals.max())
+    lo = int(mins[key])
     return (lo, hi), (lo + hi) // 2
-
-
-def _pattern_spread(a: Arrangement, failed_dims: tuple[int, ...]) -> int:
-    """Worst spread over nonempty slices whose free dims are the failed ones."""
-    axes = tuple(failed_dims)
-    counts = (a.grid != EMPTY).sum(axis=axes)
-    maxes = a.grid.max(axis=axes)
-    sentinel = np.where(a.grid == EMPTY, np.iinfo(np.int64).max, a.grid)
-    mins = sentinel.min(axis=axes)
-    sel = np.asarray(counts).reshape(-1) > 0
-    spreads = (np.asarray(maxes).reshape(-1) - np.asarray(mins).reshape(-1))[sel]
-    return int(spreads.max()) if spreads.size else 0
 
 
 def distortion_profile(sys: ChannelSystem) -> DistortionTuple:
@@ -152,7 +168,8 @@ def distortion_profile(sys: ChannelSystem) -> DistortionTuple:
         raise ValueError("arrangement holds no values")
     D = {0: 0}
     for t in range(1, 2**sys.k - 1):
-        D[t] = _pattern_spread(sys.arrangement, FailurePattern(t, sys.k).failed_dims)
+        mins, maxes = sys.intervals(t)
+        D[t] = int((maxes - mins).max())  # an empty slice reads EMPTY - EMPTY = 0
     return DistortionTuple(rates=sys.rates, D=D)
 
 
@@ -241,17 +258,6 @@ def simulate(
     else:
         masks = np.full(trials, forced_mask, dtype=np.int64)
 
-    # Interval lookup tables per observed pattern, built on first use.
-    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    grid = sys.arrangement.grid
-
-    def interval_table(mask: int):
-        axes = FailurePattern(mask, sys.k).failed_dims
-        maxes = grid.max(axis=axes) if axes else grid
-        sentinel = np.where(grid == EMPTY, np.iinfo(np.int64).max, grid)
-        mins = sentinel.min(axis=axes) if axes else sentinel
-        return np.asarray(mins), np.asarray(maxes)
-
     report = SimulationReport(
         rates=sys.rates,
         distortion=distortion_profile(sys),
@@ -261,12 +267,11 @@ def simulate(
         forced_mask=forced_mask,
     )
     all_ones = 2**sys.k - 1
+    tables = [sys.intervals(mask) for mask in range(all_ones)]
     for x, mask in zip(xs.tolist(), masks.tolist()):
         if mask == all_ones:
             report.all_failed_trials += 1
             continue
-        if mask not in tables:
-            tables[mask] = interval_table(mask)
         mins, maxes = tables[mask]
         cell = sys.arrangement.cell_of(x)
         key = tuple(c for j, c in enumerate(cell) if not mask >> j & 1)

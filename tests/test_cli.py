@@ -272,3 +272,29 @@ def test_rowmajor_build_beyond_the_budget_exits_3(capsys, monkeypatch):
     monkeypatch.setenv("SPREADLAB_BUDGET", "9")
     assert run(capsys, "build", "--shape", "3x3", "--method", "rowmajor")[0] == 0
     assert run(capsys, "build", "--shape", "2x5", "--method", "rowmajor")[0] == 3
+
+
+def test_simulate_refuses_more_pattern_cells_than_the_budget(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cube.json"
+    run(capsys, "build", "--shape", "2x2x2x2x2x2", "--method", "merge", "--out", str(path))
+    argv = ["simulate", "--arrangement", str(path), "--trials", "10"]
+    monkeypatch.setenv("SPREADLAB_BUDGET", "3967")  # (2^6 - 2) * 64 = 3968
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "spreadlab: error: budget refusal: 3968 failure-pattern cells exceed budget 3967\n"
+    monkeypatch.setenv("SPREADLAB_BUDGET", "3968")
+    assert run(capsys, *argv)[0] == 0
+
+
+def test_table_refuses_rows_beyond_the_budget(capsys, monkeypatch):
+    monkeypatch.setenv("SPREADLAB_BUDGET", "1000")
+    code, out, err = run(capsys, "table", "--n-max", "9", "--k-max", "4")
+    assert (code, out) == (3, "")
+    assert err == "spreadlab: error: budget refusal: rows up to 9^4 cells exceed budget 1000\n"
+    for n_max, k_max in [(1001, 2), (2, 11), (1000, 10**30)]:  # no power of 10^30 is taken
+        code, out, err = run(capsys, "table", "--n-max", str(n_max), "--k-max", str(k_max))
+        assert (code, out) == (3, "") and err.startswith("spreadlab: error: budget refusal:")
+    code, out, _ = run(capsys, "table", "--n-max", "10", "--k-max", "3")  # 10^3 cells fit
+    assert code == 0 and len(out.splitlines()) == 1 + 2 * 9
+    code, out, _ = run(capsys, "table", "--n-max", "1", "--k-max", str(10**30))  # no rows
+    assert code == 0 and len(out.splitlines()) == 1

@@ -18,6 +18,7 @@ from spreadlab.core import (
     max_spread,
     pairing_bound,
     slice_spread,
+    slice_values,
     smalls_sequence,
 )
 from spreadlab.herringbone import herringbone_min
@@ -233,6 +234,23 @@ def test_sequence_length_matches_nonempty_slices(a):
         )
         assert len(smalls_sequence(a, l)) == nonempty
         assert len(bigs_sequence(a, l)) == nonempty
+
+
+@given(partial_arrangements())
+@settings(max_examples=60, deadline=None)
+def test_spread_reports_match_a_slice_by_slice_reference(a):
+    for l in range(1, a.shape.k + 1):
+        ranges = [(s, slice_values(a, s)) for s in iter_slices(a.shape, l)]
+        ranges = [(s, int(v.min()), int(v.max())) for s, v in ranges if v.size]
+        spreads = [(s, hi - lo) for s, lo, hi in ranges]
+        worst = max(sp for _, sp in spreads)
+        report = max_spread(a, l, per_slice=True)
+        assert list(report.per_slice.items()) == spreads
+        assert report.max_spread == worst
+        assert report.witness == next(s for s, sp in spreads if sp == worst)
+        assert max_spread(a, l).witness == report.witness
+        assert smalls_sequence(a, l) == sorted(lo for _, lo, _ in ranges)
+        assert bigs_sequence(a, l) == sorted(hi for _, _, hi in ranges)
 
 
 @given(full_arrangements())
