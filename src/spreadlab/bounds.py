@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb
 
-from .core import Shape, UnsupportedInputError, bigs_sequence, pairing_bound, smalls_sequence
-from .herringbone import hb_closed_form, herringbone_max, herringbone_min
+from .core import Shape, UnsupportedInputError, pairing_bound, smalls_sequence
+from .herringbone import hb_closed_form, herringbone_min
 
 # Paper-vs-measurement gaps this package knows about.  The displayed
 # closed forms below are kept verbatim where noted; reconciliation tests
@@ -187,10 +186,18 @@ def multi_failure_spread(n: int, k: int, l: int) -> int:
     )
 
 
-@lru_cache(maxsize=4)
-def _herringbone_pair(n: int, k: int):
-    shape = Shape((n,) * k)
-    return herringbone_min(shape), herringbone_max(shape)
+def _pairing_lbs(n: int, k: int, ls) -> dict[int, int]:
+    """exact_pairing_lb for each l in ``ls``, from one herringbone: the
+    maxima-facing one is its mirror, which maps l-slices onto l-slices, so
+    its bigs are bigs[j] = N-1-smalls[L-1-j]."""
+    for l in ls:
+        if not 1 <= l <= k:
+            raise ValueError(f"need 1 <= l <= k, got l={l}")
+    if not ls:
+        return {}
+    hb = herringbone_min(Shape((n,) * k))
+    smalls = {l: smalls_sequence(hb, l) for l in ls}
+    return {l: pairing_bound(s, [hb.m - 1 - v for v in reversed(s)]) for l, s in smalls.items()}
 
 
 def exact_pairing_lb(n: int, k: int, l: int = 1) -> int:
@@ -201,10 +208,7 @@ def exact_pairing_lb(n: int, k: int, l: int = 1) -> int:
     dominated by every arrangement's, so pairing them bounds every
     arrangement's l-slice spread from below.
     """
-    if not 1 <= l <= k:
-        raise ValueError(f"need 1 <= l <= k, got l={l}")
-    hb_min, hb_max = _herringbone_pair(n, k)
-    return pairing_bound(smalls_sequence(hb_min, l), bigs_sequence(hb_max, l))
+    return _pairing_lbs(n, k, (l,))[l]
 
 
 @dataclass(frozen=True)
@@ -259,11 +263,12 @@ class BoundsReport:
 
 def bounds_report(n: int, k: int, ls=(1,)) -> BoundsReport:
     """Assemble the standard report for one (n, k)."""
+    ls = tuple(ls)  # read more than once
     return BoundsReport(
         n=n,
         k=k,
         theorem1_lb=theorem1_lower_bound(n, k) if k >= 2 else 0,
-        exact_pairing_lb={l: exact_pairing_lb(n, k, l) for l in ls},
+        exact_pairing_lb=_pairing_lbs(n, k, ls),
         merge_ub=merge_upper_bound(n, k),
         multi_failure={l: multi_failure_spread(n, k, l) for l in ls if 1 <= l <= k - 1},
     )

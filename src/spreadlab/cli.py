@@ -250,27 +250,26 @@ def _oracle_cell(n: int, k: int, budget: int | None) -> str:
 
 
 def _table(args) -> str:
-    budget = default_budget()
-    # the largest row builds n_max^k_max cells; with n_max >= 2 a power past
-    # budget.bit_length() already exceeds the budget, so none larger is computed
-    reach = min(args.k_max, budget.bit_length() + 1)
-    if args.n_max >= 2 and args.k_max >= 2 and args.n_max**reach > budget:
-        raise BudgetExceededError(f"rows up to {args.n_max}^{args.k_max} cells exceed budget {budget}")
-    lines = ["n,k,l,theorem1_lb,exact_pairing_lb,merge_ub" + (",oracle_opt" if args.oracle else "")]
+    rows, cells = [], 0
     for k in range(2, args.k_max + 1) if args.n_max >= 2 else ():  # no rows: skip the k loop
         for n in range(2, args.n_max + 1):
-            row = [
-                n,
-                k,
-                1,
-                bounds_mod.theorem1_lower_bound(n, k),
-                bounds_mod.exact_pairing_lb(n, k, 1),
-                bounds_mod.merge_upper_bound(n, k),
-            ]
-            text = ",".join(str(v) for v in row)
-            if args.oracle:
-                text += "," + _oracle_cell(n, k, args.budget)
-            lines.append(text)
+            cells += n**k  # refused at the first row past the budget, before any huge power
+            _require_budget(cells, f"cells in the rows through n={n}, k={k}")
+            rows.append((n, k))
+    lines = ["n,k,l,theorem1_lb,exact_pairing_lb,merge_ub" + (",oracle_opt" if args.oracle else "")]
+    for n, k in rows:
+        row = [
+            n,
+            k,
+            1,
+            bounds_mod.theorem1_lower_bound(n, k),
+            bounds_mod.exact_pairing_lb(n, k, 1),
+            bounds_mod.merge_upper_bound(n, k),
+        ]
+        text = ",".join(str(v) for v in row)
+        if args.oracle:
+            text += "," + _oracle_cell(n, k, args.budget)
+        lines.append(text)
     return "\n".join(lines) + "\n"
 
 

@@ -349,6 +349,20 @@ def iter_slices(shape: Shape, l: int):
             yield SliceSpec(free, tuple(zip(fixed_dims, coords)))
 
 
+def slice_ids(shape: Shape, l: int) -> tuple[np.ndarray, list[int]]:
+    """(ids, sizes): ids[c, j] is the ``iter_slices`` index of the slice
+    through flat cell c whose free dims are the j-th combination, and
+    sizes[i] is the cell count of slice i."""
+    columns, sizes = [], []
+    for free in itertools.combinations(range(shape.k), l):
+        fixed = [1 if d in free else n for d, n in enumerate(shape.sizes)]
+        count = prod(fixed)  # slices with these free dims, numbered in fixed-coordinate order
+        ids = np.arange(len(sizes), len(sizes) + count).reshape(fixed)
+        columns.append(np.broadcast_to(ids, shape.sizes).ravel())
+        sizes += [shape.cell_count // count] * count
+    return np.stack(columns, axis=1), sizes
+
+
 def slice_values(a: Arrangement, s: SliceSpec) -> np.ndarray:
     """Placed values inside the slice, unordered."""
     s.validate(a.shape)
@@ -390,7 +404,7 @@ def max_spread(a: Arrangement, l: int, per_slice: bool = False) -> SpreadReport:
         raise ShapeMismatchError(f"l={l} out of range 1..{a.shape.k}")
     best = -1
     witness = None
-    detail: dict[SliceSpec, int] | None = {} if per_slice else None
+    parts = []
     for free in itertools.combinations(range(a.shape.k), l):
         fixed_dims = [d for d in range(a.shape.k) if d not in free]
         mins, maxes = slice_extrema(a.grid, free)
@@ -400,18 +414,20 @@ def max_spread(a: Arrangement, l: int, per_slice: bool = False) -> SpreadReport:
             best = int(spreads.flat[idx])
             coords = np.unravel_index(idx, spreads.shape)
             witness = SliceSpec(free, tuple(zip(fixed_dims, map(int, coords))))
-        if detail is not None:
-            fixed = itertools.product(*(range(a.shape.sizes[d]) for d in fixed_dims))
-            for coords, sp in zip(fixed, spreads.reshape(-1).tolist()):
-                if sp >= 0:
-                    detail[SliceSpec(free, tuple(zip(fixed_dims, coords)))] = sp
+        parts.append(spreads.reshape(-1))
     if witness is None:
         raise UnsupportedInputError("no nonempty slice found")
+    detail = None
+    if per_slice:  # the parts concatenate in iter_slices order
+        spreads = np.concatenate(parts).tolist()
+        detail = {s: sp for s, sp in zip(iter_slices(a.shape, l), spreads) if sp >= 0}
     return SpreadReport(l=l, max_spread=best, witness=witness, per_slice=detail)
 
 
 def _extrema_list(a: Arrangement, l: int, which: int) -> list[int]:
     """Sorted mins (which=0) or maxes (which=1) of the nonempty l-slices."""
+    if not 1 <= l <= a.shape.k:
+        raise ShapeMismatchError(f"l={l} out of range 1..{a.shape.k}")
     if a.m == 0:
         raise UnsupportedInputError("sequence of an empty arrangement")
     parts = []
@@ -426,15 +442,11 @@ def smalls_sequence(a: Arrangement, l: int = 1) -> list[int]:
 
     A value minimal in several slices appears once per slice.
     """
-    if not 1 <= l <= a.shape.k:
-        raise ShapeMismatchError(f"l={l} out of range 1..{a.shape.k}")
     return _extrema_list(a, l, 0)
 
 
 def bigs_sequence(a: Arrangement, l: int = 1) -> list[int]:
     """Ascending list of per-slice maxima; mirror of smalls_sequence."""
-    if not 1 <= l <= a.shape.k:
-        raise ShapeMismatchError(f"l={l} out of range 1..{a.shape.k}")
     return _extrema_list(a, l, 1)
 
 

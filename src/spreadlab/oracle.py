@@ -25,14 +25,13 @@ compares permutations in fixed-size numpy blocks.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Arrangement, Shape, UnsupportedInputError, smalls_sequence
+from .core import Arrangement, Shape, UnsupportedInputError, slice_ids, smalls_sequence
 from .herringbone import herringbone_min
 
 DEFAULT_BUDGET = 10**8
@@ -88,21 +87,6 @@ class SearchConfig:
         return self.budget if self.budget is not None else default_budget()
 
 
-def _slices_by_cell(shape: Shape, l: int):
-    """(cell count of each slice, per-cell list of slice ids) for the l-objective."""
-    coords = np.indices(shape.sizes).reshape(shape.k, -1)
-    columns, slice_sizes = [], []
-    for free in itertools.combinations(range(shape.k), l):
-        ids = np.zeros(shape.cell_count, dtype=np.int64)
-        for d in range(shape.k):
-            if d not in free:
-                ids = ids * shape.sizes[d] + coords[d]
-        columns.append(len(slice_sizes) + ids)
-        size = math.prod(shape.sizes[d] for d in free)
-        slice_sizes += [size] * (shape.cell_count // size)
-    return slice_sizes, np.stack(columns, axis=1).tolist()
-
-
 def _estimate_full(count: int, m: int) -> int:
     est = 1
     for i in range(m):
@@ -131,7 +115,8 @@ def brute_force_optimal(cfg: SearchConfig) -> tuple[int, Arrangement]:
         needs = "monotone search needs at least" if monotone else "full enumeration needs about"
         raise BudgetExceededError(f"{needs} {estimate} nodes, budget {budget}", estimate=estimate)
 
-    slice_sizes, slice_ids = _slices_by_cell(shape, cfg.l)
+    table, slice_sizes = slice_ids(shape, cfg.l)
+    cell_slices = table.tolist()
     cells = list(shape.cells())
     # Monotone mode frees a cell once its last lower neighbour is filled;
     # full mode has no such order, so every cell starts ready.
@@ -173,7 +158,7 @@ def brute_force_optimal(cfg: SearchConfig) -> tuple[int, Arrangement]:
             # left has an open slice: its minimum is at most `oldest` and
             # it still takes a value >= `value`.
             while oldest < value:
-                for sid in slice_ids[placed_at[oldest]]:
+                for sid in cell_slices[placed_at[oldest]]:
                     if pad[sid] >= 0:
                         break
                 else:
@@ -183,7 +168,7 @@ def brute_force_optimal(cfg: SearchConfig) -> tuple[int, Arrangement]:
             if oldest < value and value - oldest >= best_value:
                 return
         for j, idx in enumerate(ready):
-            ids = slice_ids[idx]
+            ids = cell_slices[idx]
             new_reach = reach
             for sid in ids:
                 low = slice_min[sid]
@@ -248,9 +233,8 @@ def verify_smalls_dominance(n: int, k: int, l: int = 1, budget: int | None = Non
         )
 
     reference = np.array(smalls_sequence(herringbone_min(shape), l))
-    _, slice_ids = _slices_by_cell(shape, l)
-    # (cell, slice) pairs grouped by slice; every l-slice of a cube has n^l cells.
-    members = np.argsort(np.ravel(slice_ids), kind="stable").reshape(-1, n**l) // len(slice_ids[0])
+    # Cells grouped by slice, in slice order; every l-slice of a cube has n^l cells.
+    members = np.argsort(slice_ids(shape, l)[0], axis=0, kind="stable").T.reshape(-1, n**l)
 
     # Row p of a block is a permutation: the value at each cell index.
     dtype = np.min_scalar_type(count - 1)

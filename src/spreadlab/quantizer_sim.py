@@ -135,16 +135,16 @@ def decode(
                 f"component {j} inconsistent with pattern: "
                 f"{'failed channels carry None' if failed else 'surviving channels carry a symbol'}"
             )
+    if pattern.k != len(received):  # == sys.k, checked above
+        fixed = tuple((j, received[j]) for j in pattern.ok_dims if j < sys.k)
+        raise ShapeMismatchError(
+            f"slice dims {pattern.failed_dims}+{fixed} do not partition 0..{sys.k - 1}"
+        )
     if pattern.mask == 0:
         value = sys.arrangement.value_at(tuple(received))
         if value is None:
             raise DecodeFailureError(f"no value at cell {tuple(received)}")
         return (value, value), value
-    if pattern.k != sys.k:
-        fixed = tuple((j, received[j]) for j in pattern.ok_dims if j < sys.k)
-        raise ShapeMismatchError(
-            f"slice dims {pattern.failed_dims}+{fixed} do not partition 0..{sys.k - 1}"
-        )
     sizes = sys.arrangement.shape.sizes
     key = []
     for d, c in enumerate(received):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from spreadlab.bounds import (
     BoundsReport,
-    _herringbone_pair,
     bounds_report,
     corner,
     crude_smalls_bound,
@@ -147,6 +146,14 @@ def test_bounds_report_ordering_and_rows():
         assert rows[-1][5] == n**k - 1
         doc = rep.to_json_dict()
         assert doc["n"] == n and doc["merge_ub"] == rep.merge_ub
+        assert bounds_report(n, k, ls=iter(range(1, k + 1))) == rep  # any iterable of l
+
+
+def test_pairing_bounds_validate_every_l():
+    for call in (lambda: exact_pairing_lb(3, 2, 3), lambda: bounds_report(3, 2, ls=(1, 3, 0))):
+        with pytest.raises(ValueError, match=r"^need 1 <= l <= k, got l=3$"):
+            call()
+    assert bounds_report(3, 2, ls=()).exact_pairing_lb == {}
 
 
 def test_bounds_report_rejects_bad_ordering():
@@ -167,10 +174,3 @@ def test_integer_nth_root_beyond_float_range():
 def test_integer_nth_root_brackets(x, n):
     r = integer_nth_root(x, n)
     assert r**n <= x < (r + 1) ** n
-
-
-def test_herringbone_pair_cache_is_bounded():
-    assert _herringbone_pair.cache_info().maxsize is not None
-    for n in range(2, 12):
-        exact_pairing_lb(n, 2)
-    assert _herringbone_pair.cache_info().currsize <= _herringbone_pair.cache_info().maxsize

@@ -290,11 +290,25 @@ def test_table_refuses_rows_beyond_the_budget(capsys, monkeypatch):
     monkeypatch.setenv("SPREADLAB_BUDGET", "1000")
     code, out, err = run(capsys, "table", "--n-max", "9", "--k-max", "4")
     assert (code, out) == (3, "")
-    assert err == "spreadlab: error: budget refusal: rows up to 9^4 cells exceed budget 1000\n"
-    for n_max, k_max in [(1001, 2), (2, 11), (1000, 10**30)]:  # no power of 10^30 is taken
+    assert err == (
+        "spreadlab: error: budget refusal: 1067 cells in the rows through n=7, k=3 exceed budget 1000\n"
+    )
+    # (10, 3): the largest row, 10^3 cells, fits, but the rows sum to 3408
+    for n_max, k_max in [(1001, 2), (2, 11), (1000, 10**30), (10, 3)]:  # no power of 10^30 is taken
         code, out, err = run(capsys, "table", "--n-max", str(n_max), "--k-max", str(k_max))
         assert (code, out) == (3, "") and err.startswith("spreadlab: error: budget refusal:")
-    code, out, _ = run(capsys, "table", "--n-max", "10", "--k-max", "3")  # 10^3 cells fit
-    assert code == 0 and len(out.splitlines()) == 1 + 2 * 9
+    code, out, _ = run(capsys, "table", "--n-max", "6", "--k-max", "3")  # the rows sum to 530 cells
+    assert code == 0 and len(out.splitlines()) == 1 + 2 * 5
     code, out, _ = run(capsys, "table", "--n-max", "1", "--k-max", str(10**30))  # no rows
     assert code == 0 and len(out.splitlines()) == 1
+
+
+def test_table_bounds_the_sum_of_its_rows(capsys, monkeypatch):
+    monkeypatch.delenv("SPREADLAB_BUDGET", raising=False)
+    # 3000^2 cells fit the default budget of 10^8, the rows up to it do not
+    code, out, err = run(capsys, "table", "--n-max", "3000", "--k-max", "2")
+    assert (code, out) == (3, "")
+    assert err == (
+        "spreadlab: error: budget refusal: "
+        "100029994 cells in the rows through n=669, k=2 exceed budget 100000000\n"
+    )

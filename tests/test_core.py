@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from spreadlab.core import (
     make_monotonic,
     max_spread,
     pairing_bound,
+    slice_ids,
     slice_spread,
     slice_values,
     smalls_sequence,
@@ -251,6 +253,24 @@ def test_spread_reports_match_a_slice_by_slice_reference(a):
         assert max_spread(a, l).witness == report.witness
         assert smalls_sequence(a, l) == sorted(lo for _, lo, _ in ranges)
         assert bigs_sequence(a, l) == sorted(hi for _, _, hi in ranges)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_slice_ids_number_slices_as_iter_slices_does(sizes):
+    shape = Shape(tuple(sizes))
+    cells = list(shape.cells())  # flat cell order
+    for l in range(1, shape.k + 1):
+        ids, slice_sizes = slice_ids(shape, l)
+        combos = list(itertools.combinations(range(shape.k), l))
+        slices = list(iter_slices(shape, l))
+        assert ids.shape == (len(cells), len(combos))
+        assert len(slice_sizes) == len(slices)
+        for i, s in enumerate(slices):
+            column = ids[:, combos.index(s.free_dims)]
+            members = [c for c in cells if all(c[d] == v for d, v in s.fixed)]
+            assert [cells[c] for c in np.flatnonzero(column == i)] == members
+            assert slice_sizes[i] == len(members)
 
 
 @given(full_arrangements())

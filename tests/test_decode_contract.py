@@ -48,6 +48,9 @@ ERRORS = [
      "slice dims (2,)+((0, 1), (1, 2)) do not partition 0..1"),
     ((None, 2, 1), FailurePattern(1, 2), CUBE, ShapeMismatchError,
      "slice dims (0,)+((1, 2),) do not partition 0..2"),
+    # the pattern's k is checked before the no-failure lookup
+    ((1, 2), FailurePattern(0, 3), ROW_MAJOR, ShapeMismatchError,
+     "slice dims ()+((0, 1), (1, 2)) do not partition 0..1"),
 ]
 
 
